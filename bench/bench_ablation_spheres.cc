@@ -51,10 +51,7 @@ int main(int argc, char** argv) {
       core::QueryStats qs;
       auto matches = engine->RangeQuery(query, eps, core::TransformCost{}, &qs);
       if (!matches.ok()) return 1;
-      pen.tests += qs.penetration.tests;
-      pen.outer_rejects += qs.penetration.outer_rejects;
-      pen.inner_accepts += qs.penetration.inner_accepts;
-      pen.slab_tests += qs.penetration.slab_tests;
+      pen += qs.penetration;
     }
     const double tests = static_cast<double>(pen.tests);
     const double short_circuited =

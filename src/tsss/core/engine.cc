@@ -15,7 +15,6 @@
 #include "tsss/obs/metrics.h"
 #include "tsss/obs/trace.h"
 #include "tsss/seq/window.h"
-#include "tsss/storage/query_counters.h"
 
 namespace tsss::core {
 
@@ -54,41 +53,6 @@ std::uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-void FillPruneTelemetry(const geom::PenetrationStats& pen,
-                        obs::QueryTelemetry* telemetry) {
-  telemetry->entries_tested = pen.tests;
-  const std::uint64_t prunes = pen.tests >= pen.visits ? pen.tests - pen.visits : 0;
-  telemetry->bs_prunes = pen.outer_rejects;
-  const std::uint64_t rest =
-      prunes >= pen.outer_rejects ? prunes - pen.outer_rejects : 0;
-  // kExactDistance is the only strategy that runs exact tests; everything the
-  // spheres did not reject there was decided exactly. Under kEepOnly and
-  // kBoundingSpheres the non-sphere remainder is the slab (EP) test's share.
-  if (pen.exact_tests > 0) {
-    telemetry->exact_prunes = rest;
-  } else {
-    telemetry->ep_prunes = rest;
-  }
-}
-
-obs::QueryCost BuildQueryCost(std::uint64_t cpu_start_us,
-                              const storage::QueryCounters& counters,
-                              std::uint64_t candidates_verified) {
-  obs::QueryCost cost;
-  const std::uint64_t cpu_now = obs::ThreadCpuNowUs();
-  cost.cpu_us = cpu_now >= cpu_start_us ? cpu_now - cpu_start_us : 0;
-  cost.pages_miss = counters.pool_misses;
-  cost.pages_hit = counters.pool_logical_reads >= counters.pool_misses
-                       ? counters.pool_logical_reads - counters.pool_misses
-                       : 0;
-  cost.data_pages = counters.data_page_reads;
-  cost.bytes_touched =
-      (counters.pool_logical_reads + counters.data_page_reads) *
-      storage::kPageSize;
-  cost.candidates_verified = candidates_verified;
-  return cost;
-}
 
 SearchEngine::SearchEngine(const EngineConfig& config) : config_(config) {}
 
@@ -323,9 +287,17 @@ Status SearchEngine::BeginQuery() const {
   return Status::OK();
 }
 
-void SearchEngine::RecordLastQuery(const LastQuery& last) const {
+void SearchEngine::FinishQuery(LastQuery last,
+                               std::chrono::steady_clock::time_point start,
+                               std::uint64_t cpu_start_us, obs::TraceSpan* span,
+                               QueryStats* stats) const {
+  last.elapsed_us = ElapsedUs(start);
+  const std::uint64_t cpu_now = obs::ThreadCpuNowUs();
+  last.stats.cost.cpu_us = cpu_now >= cpu_start_us ? cpu_now - cpu_start_us : 0;
+  AnnotateSpan(span, last.stats);
+  if (stats != nullptr) *stats = last.stats;
   MutexLock lock(last_query_mu_);
-  last_query_ = last;
+  last_query_ = std::move(last);
 }
 
 Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> query,
@@ -341,30 +313,19 @@ Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> quer
   if (eps < 0.0) return Status::InvalidArgument("eps must be non-negative");
 
   if (Status begin = BeginQuery(); !begin.ok()) return begin;
-  storage::QueryCounters counters;
-  storage::ScopedQueryCounters scoped_counters(&counters);
-
-  // Telemetry is collected only when someone will read it (the caller asked
-  // for stats or a trace is installed); otherwise the index layer's tick
-  // helpers reduce to a thread-local read plus an untaken branch.
-  obs::QueryTelemetry telemetry;
-  std::optional<obs::ScopedQueryTelemetry> scoped_telemetry;
-  std::chrono::steady_clock::time_point query_start;
-  std::uint64_t cpu_start_us = 0;
-  if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
-    scoped_telemetry.emplace(&telemetry);
-    query_start = std::chrono::steady_clock::now();
-    cpu_start_us = obs::ThreadCpuNowUs();
-  }
+  // Storage and the index walk tick this ledger for the whole query.
+  QueryStats ledger;
+  obs::ScopedQueryLedger install(&ledger);
+  const auto query_start = std::chrono::steady_clock::now();
+  const std::uint64_t cpu_start_us = obs::ThreadCpuNowUs();
   obs::TraceSpan query_span("range_query");
 
   const QueryContext ctx(query);
   const geom::Line line = ReducedQueryLine(query);
 
-  geom::PenetrationStats pen;
   obs::TraceSpan filter_span("index_filter");
   Result<std::vector<index::LineMatch>> candidates =
-      tree_->LineQuery(line, eps, config_.prune, &pen);
+      tree_->LineQuery(line, eps, config_.prune, &ledger.penetration);
   if (!candidates.ok()) return candidates.status();
   filter_span.Annotate("leaf_hits", candidates->size());
   filter_span.Close();
@@ -401,42 +362,15 @@ Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> quer
   verify_span.Annotate("matches", matches.size());
   verify_span.Close();
 
-  obs::QueryCost query_cost;
-  if (scoped_telemetry.has_value()) {
-    FillPruneTelemetry(pen, &telemetry);
-    telemetry.candidates_postfiltered = expanded.size() - matches.size();
-    obs::AnnotateSpan(&query_span, telemetry);
-    query_cost = BuildQueryCost(cpu_start_us, counters, expanded.size());
-    LastQuery last;
-    last.kind = "range";
-    last.eps = eps;
-    last.prune = config_.prune;
-    last.elapsed_us = ElapsedUs(query_start);
-    last.stats.index_page_reads = counters.pool_logical_reads;
-    last.stats.index_page_misses = counters.pool_misses;
-    last.stats.data_page_reads = counters.data_page_reads;
-    last.stats.candidates = expanded.size();
-    last.stats.matches = matches.size();
-    last.stats.penetration = pen;
-    last.stats.telemetry = telemetry;
-    last.stats.cost = query_cost;
-    RecordLastQuery(last);
-  }
+  ledger.candidates = expanded.size();
+  ledger.matches = matches.size();
   const QueryRegistryCounters& reg = QueryCountersRegistry();
   reg.range_queries->Inc();
-  reg.candidates->Inc(expanded.size());
-  reg.matches->Inc(matches.size());
-
-  if (stats != nullptr) {
-    stats->index_page_reads = counters.pool_logical_reads;
-    stats->index_page_misses = counters.pool_misses;
-    stats->data_page_reads = counters.data_page_reads;
-    stats->candidates = expanded.size();
-    stats->matches = matches.size();
-    stats->penetration = pen;
-    stats->telemetry = telemetry;
-    stats->cost = query_cost;
-  }
+  reg.candidates->Inc(ledger.candidates);
+  reg.matches->Inc(ledger.matches);
+  FinishQuery(
+      {.kind = "range", .eps = eps, .prune = config_.prune, .stats = ledger},
+      query_start, cpu_start_us, &query_span, stats);
   return matches;
 }
 
@@ -451,18 +385,10 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
   if (k == 0) return std::vector<Match>{};
 
   if (Status begin = BeginQuery(); !begin.ok()) return begin;
-  storage::QueryCounters counters;
-  storage::ScopedQueryCounters scoped_counters(&counters);
-
-  obs::QueryTelemetry telemetry;
-  std::optional<obs::ScopedQueryTelemetry> scoped_telemetry;
-  std::chrono::steady_clock::time_point query_start;
-  std::uint64_t cpu_start_us = 0;
-  if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
-    scoped_telemetry.emplace(&telemetry);
-    query_start = std::chrono::steady_clock::now();
-    cpu_start_us = obs::ThreadCpuNowUs();
-  }
+  QueryStats ledger;
+  obs::ScopedQueryLedger install(&ledger);
+  const auto query_start = std::chrono::steady_clock::now();
+  const std::uint64_t cpu_start_us = obs::ThreadCpuNowUs();
   obs::TraceSpan query_span("knn_query");
 
   const QueryContext ctx(query);
@@ -481,7 +407,6 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
   std::priority_queue<Match, std::vector<Match>, decltype(canonical)> best(
       canonical);
 
-  std::uint64_t candidates_seen = 0;
   obs::TraceSpan search_span("multi_step_search");
   index::RTree::LineNeighborIterator it = tree_->NearestLineNeighbors(line);
   geom::Vec window(config_.window);
@@ -502,7 +427,7 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
     Status es = ExpandCandidate(cand.record, &expanded);
     if (!es.ok()) return es;
     for (const index::RecordId record : expanded) {
-      ++candidates_seen;
+      ++ledger.candidates;
       // The outer loop polls via it.Next() → LoadNode, but one trail hit
       // can expand into many window reads; poll per data page so wide
       // expansions stay responsive too (tsss_lint: deadline-poll).
@@ -528,7 +453,7 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
     }
   }
 
-  search_span.Annotate("candidates", candidates_seen);
+  search_span.Annotate("candidates", ledger.candidates);
   search_span.Close();
 
   std::vector<Match> out;
@@ -539,39 +464,13 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
   }
   std::reverse(out.begin(), out.end());
 
-  obs::QueryCost query_cost;
-  if (scoped_telemetry.has_value()) {
-    telemetry.candidates_postfiltered = candidates_seen - out.size();
-    obs::AnnotateSpan(&query_span, telemetry);
-    query_cost = BuildQueryCost(cpu_start_us, counters, candidates_seen);
-    LastQuery last;
-    last.kind = "knn";
-    last.k = k;
-    last.prune = config_.prune;
-    last.elapsed_us = ElapsedUs(query_start);
-    last.stats.index_page_reads = counters.pool_logical_reads;
-    last.stats.index_page_misses = counters.pool_misses;
-    last.stats.data_page_reads = counters.data_page_reads;
-    last.stats.candidates = candidates_seen;
-    last.stats.matches = out.size();
-    last.stats.telemetry = telemetry;
-    last.stats.cost = query_cost;
-    RecordLastQuery(last);
-  }
+  ledger.matches = out.size();
   const QueryRegistryCounters& reg = QueryCountersRegistry();
   reg.knn_queries->Inc();
-  reg.candidates->Inc(candidates_seen);
-  reg.matches->Inc(out.size());
-
-  if (stats != nullptr) {
-    stats->index_page_reads = counters.pool_logical_reads;
-    stats->index_page_misses = counters.pool_misses;
-    stats->data_page_reads = counters.data_page_reads;
-    stats->candidates = candidates_seen;
-    stats->matches = out.size();
-    stats->telemetry = telemetry;
-    stats->cost = query_cost;
-  }
+  reg.candidates->Inc(ledger.candidates);
+  reg.matches->Inc(ledger.matches);
+  FinishQuery({.kind = "knn", .k = k, .prune = config_.prune, .stats = ledger},
+              query_start, cpu_start_us, &query_span, stats);
   return out;
 }
 

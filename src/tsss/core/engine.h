@@ -2,6 +2,7 @@
 #define TSSS_CORE_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -15,7 +16,8 @@
 #include "tsss/core/similarity.h"
 #include "tsss/geom/penetration.h"
 #include "tsss/obs/explain.h"
-#include "tsss/obs/query_telemetry.h"
+#include "tsss/obs/query_ledger.h"
+#include "tsss/obs/trace.h"
 #include "tsss/index/rtree.h"
 #include "tsss/reduce/reducer.h"
 #include "tsss/seq/dataset.h"
@@ -23,7 +25,6 @@
 #include "tsss/storage/buffer_pool.h"
 #include "tsss/storage/file_page_store.h"
 #include "tsss/storage/page_store.h"
-#include "tsss/storage/query_counters.h"
 
 namespace tsss::core {
 
@@ -74,29 +75,52 @@ struct EngineMeta {
 /// can drive the parser over in-memory buffers. Defined in persistence.cc.
 Result<EngineMeta> ParseEngineMeta(std::istream& in);
 
-/// Per-query observability: what a query cost. All counters are deltas over
-/// the single query.
-struct QueryStats {
-  std::uint64_t index_page_reads = 0;   ///< R-tree node pages fetched (logical)
-  std::uint64_t index_page_misses = 0;  ///< of those, buffer-pool misses
-  std::uint64_t data_page_reads = 0;    ///< raw-data pages read for verification
-  std::uint64_t candidates = 0;        ///< leaf hits needing verification
-  std::uint64_t matches = 0;           ///< verified answers
-  geom::PenetrationStats penetration;  ///< pruning-test breakdown
-  /// Index-walk breakdown: nodes visited per tree level, MBR distance
-  /// evaluations, and the EP/BS/exact prune disposition derived from
-  /// `penetration` (see FillPruneTelemetry).
-  obs::QueryTelemetry telemetry;
-  /// What the query spent (thread CPU, hit/miss page split, bytes,
-  /// verifications). Filled on the telemetry-enabled path only, like
-  /// `telemetry`; service::QueryService aggregates it per kind and
-  /// shard::ShardedEngine per shard (see obs/cost.h).
-  obs::QueryCost cost;
+/// The per-query ledger: every fact one query records, each stored once.
+/// The buffer pool, the sequence store and the index walk tick the
+/// obs::QueryLedger base through one thread-local install per query; the
+/// engine adds what only it knows. Everything else a report shows (the
+/// EP/BS/exact prune split, the post-filtered count, the hit/miss split,
+/// bytes touched) is derived from this record where it is used — see
+/// CostOf, AnnotateSpan and SearchEngine::ExplainFromStats.
+///
+/// Write rule: a query that succeeds overwrites the caller's whole record,
+/// on SearchEngine and on shard::ShardedEngine alike (the sharded total is
+/// the operator+= sum over shards). A failed query leaves it untouched.
+struct QueryStats : obs::QueryLedger {
+  std::uint64_t candidates = 0;  ///< windows exactly verified
+  std::uint64_t matches = 0;     ///< verified answers
+  /// Penetration tests of the range walk(s); zero for k-NN, whose
+  /// best-first walk runs no penetration tests.
+  geom::PenetrationStats penetration;
+  struct Cpu {
+    /// Thread CPU time the query burned (CLOCK_THREAD_CPUTIME_ID).
+    std::uint64_t cpu_us = 0;
+  } cost;
 
   std::uint64_t total_page_reads() const {
     return index_page_reads + data_page_reads;
   }
+
+  QueryStats& operator+=(const QueryStats& other) {
+    obs::QueryLedger::operator+=(other);
+    candidates += other.candidates;
+    matches += other.matches;
+    penetration += other.penetration;
+    cost.cpu_us += other.cost.cpu_us;
+    return *this;
+  }
 };
+
+/// What a query spent, derived from its ledger: CPU time, the hit/miss
+/// split of its index-page reads, data pages, bytes touched at page
+/// granularity, and windows verified. Defined in explain.cc.
+obs::QueryCost CostOf(const QueryStats& stats);
+
+/// Attaches a query's ledger and its derived prune split to `span`
+/// (ep_prunes/bs_prunes always, other counters when non-zero, per-level
+/// node visits as nodes_level_<i>). No-op when span is null or tracing is
+/// off. Defined in explain.cc.
+void AnnotateSpan(obs::TraceSpan* span, const QueryStats& stats);
 
 /// A monotonically tightening upper bound on the k-th best exact distance,
 /// shared by concurrent k-NN sub-queries over disjoint partitions of one
@@ -133,23 +157,6 @@ class KnnSharedBound {
   std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
 };
 
-/// Derives the paper's pruning disposition from a walk's PenetrationStats:
-/// every tested entry that was not visited was pruned; bounding-sphere outer
-/// rejects are the BS share, and the remainder is attributed to the
-/// entering/exiting-point slab test (or to the exact distance test when that
-/// strategy ran). Strategies never mix within one walk. Defined in engine.cc.
-void FillPruneTelemetry(const geom::PenetrationStats& pen,
-                        obs::QueryTelemetry* telemetry);
-
-/// Rolls one finished query's thread-local storage counters into a QueryCost:
-/// CPU time since `cpu_start_us` (a ThreadCpuNowUs() reading taken when the
-/// query started), the hit/miss split of the pool reads, and bytes touched at
-/// page granularity. Called on the telemetry-enabled path only, alongside
-/// FillPruneTelemetry. Defined in engine.cc.
-obs::QueryCost BuildQueryCost(std::uint64_t cpu_start_us,
-                              const storage::QueryCounters& counters,
-                              std::uint64_t candidates_verified);
-
 /// The paper's system: a dynamic index over all length-n windows of a set of
 /// time series supporting range and k-NN queries under scale-shift
 /// similarity (Definition 1), with no false dismissals.
@@ -164,8 +171,8 @@ obs::QueryCost BuildQueryCost(std::uint64_t cpu_start_us,
 /// ReadWindow) may run concurrently from many threads over one engine,
 /// provided cold_cache_per_query is off (a per-query pool Clear() would
 /// evict pages out from under concurrent readers; service::QueryService
-/// turns it off). Per-query costs in QueryStats come from thread-local
-/// storage::QueryCounters, so concurrent queries never mix up each other's
+/// turns it off). Each query fills its own thread-locally installed
+/// ledger (QueryStats), so concurrent queries never mix up each other's
 /// counts. Mutations (AddSeries, Append, BulkBuild, RemoveWindow,
 /// Checkpoint, the setters) require exclusive access: no query or other
 /// mutation may be in flight.
@@ -261,12 +268,11 @@ class SearchEngine {
   /// in point mode; in sub-trail mode one tree entry covers many windows).
   std::size_t num_indexed_windows() const { return indexed_windows_; }
 
-  /// Plan report of the most recent *telemetry-enabled* query on this engine
-  /// (one that was passed a QueryStats or ran under a trace; queries with
-  /// neither are not snapshotted, keeping the instrumentation-off path free
-  /// of extra work). Combines the saved QueryStats with the tree's current
-  /// structural profile and the sequential-scan baseline. Thread-safe;
-  /// returns NotFound before the first eligible query. Defined in explain.cc.
+  /// Plan report of the most recent successful query on this engine, with
+  /// or without a caller-supplied QueryStats. Combines the saved ledger with
+  /// the tree's current structural profile and the sequential-scan
+  /// baseline. Thread-safe; returns NotFound before the first query.
+  /// Defined in explain.cc.
   Result<obs::ExplainReport> ExplainLast() const;
 
   /// Builds the plan report for ONE specific query from its identity and its
@@ -299,10 +305,13 @@ class SearchEngine {
     QueryStats stats;
   };
 
-  /// Saves the snapshot for ExplainLast(). Called from the const query
-  /// methods only when telemetry was collected, so the mutex is off the
-  /// instrumentation-disabled path entirely.
-  void RecordLastQuery(const LastQuery& last) const TSSS_EXCLUDES(last_query_mu_);
+  /// Ends a successful query that started at `start` (steady clock) and
+  /// `cpu_start_us` (a ThreadCpuNowUs() reading): stamps its elapsed and
+  /// CPU time, annotates its root span, snapshots it for ExplainLast() and
+  /// writes it to `stats` if the caller passed one.
+  void FinishQuery(LastQuery last, std::chrono::steady_clock::time_point start,
+                   std::uint64_t cpu_start_us, obs::TraceSpan* span,
+                   QueryStats* stats) const TSSS_EXCLUDES(last_query_mu_);
 
   Status IndexWindows(storage::SeriesId id, std::size_t first_offset);
   Status IndexWindowsTrail(storage::SeriesId id, std::size_t first_offset);

@@ -58,6 +58,17 @@ struct PenetrationStats {
   std::uint64_t exact_tests = 0;     ///< exact line-box distance evaluations
 
   void Reset() { *this = PenetrationStats{}; }
+
+  PenetrationStats& operator+=(const PenetrationStats& other) {
+    tests += other.tests;
+    visits += other.visits;
+    outer_rejects += other.outer_rejects;
+    inner_accepts += other.inner_accepts;
+    slab_tests += other.slab_tests;
+    sphere_tests += other.sphere_tests;
+    exact_tests += other.exact_tests;
+    return *this;
+  }
 };
 
 /// Decides whether a node with bounding box `mbr` may contain a point within

@@ -1,7 +1,7 @@
 #include <vector>
 
 #include "tsss/index/rtree.h"
-#include "tsss/obs/query_telemetry.h"
+#include "tsss/obs/query_ledger.h"
 
 namespace tsss::index {
 

@@ -8,11 +8,11 @@ namespace tsss::obs {
 
 /// What one query *spent*, attributed to the query itself rather than to
 /// process-wide totals: thread CPU time, buffer-pool traffic split into hits
-/// and misses, bytes touched, and exact verifications performed. Filled by
-/// the core::SearchEngine query methods on the telemetry-enabled path (a
-/// caller passed QueryStats or installed a trace) and carried on
-/// core::QueryStats; service::QueryService rolls completed costs into
-/// per-kind histograms and shard::ShardedEngine into per-shard ones.
+/// and misses, bytes touched, and exact verifications performed. A view
+/// derived from the query's core::QueryStats ledger by core::CostOf where it
+/// is used: service::QueryService rolls completed costs into per-kind
+/// histograms, shard::ShardedEngine into per-shard ones, and explain and
+/// flight records render it.
 ///
 /// Pure data, like ExplainReport: obs/ stays the bottom layer.
 struct QueryCost {

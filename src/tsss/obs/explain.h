@@ -87,7 +87,8 @@ struct ExplainReport {
 };
 
 /// True iff the prune waterfall accounts for every tested entry (see the
-/// identity above). Reports built from a telemetry-enabled walk satisfy it.
+/// identity above). Every report core::SearchEngine derives from a query's
+/// ledger satisfies it.
 bool explain_accounted(const ExplainReport& report);
 
 /// Folds per-partition reports of ONE logical query (the shard fan-out) into

@@ -91,7 +91,7 @@ QueryTrace* CurrentQueryTrace();
 
 /// Installs `trace` as this thread's current query trace for the scope's
 /// lifetime, restoring the previous one on destruction (same pattern as
-/// storage::ScopedQueryCounters).
+/// obs::ScopedQueryLedger).
 class ScopedQueryTrace {
  public:
   explicit ScopedQueryTrace(QueryTrace* trace);
@@ -123,6 +123,10 @@ class TraceSpan {
 
   /// Attaches a counter to this span. No-op when tracing is off.
   void Annotate(const char* key, std::uint64_t value);
+
+  /// True when this span records into a trace (tracing was on when it
+  /// opened).
+  bool active() const { return trace_ != nullptr; }
 
   /// Closes the span now instead of at scope exit (the destructor then
   /// no-ops). Lets sequential phases in one scope get disjoint durations.

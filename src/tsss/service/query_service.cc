@@ -317,11 +317,11 @@ void QueryService::FinishTask(Task* task, QueryResponse response,
 
   const char* kind_name = KindName(task->request.kind);
   if (response.status.ok()) {
-    // Cost attribution: the engine filled stats.cost for every query that
-    // ran to completion; fold it into the per-kind labelled metrics. Error
-    // paths unwind before the engine fills stats, so recording them would
-    // only pollute the histograms with zeros.
-    obs::RecordQueryCost("kind", kind_name, response.stats.cost);
+    // Cost attribution: the engine filled the ledger of every query that
+    // ran to completion; fold its cost into the per-kind labelled metrics.
+    // Error paths unwind before the engine fills stats, so recording them
+    // would only pollute the histograms with zeros.
+    obs::RecordQueryCost("kind", kind_name, core::CostOf(response.stats));
   }
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
@@ -332,7 +332,7 @@ void QueryService::FinishTask(Task* task, QueryResponse response,
     record.kind = kind_name;
     record.outcome = outcome;
     record.latency_us = latency_us;
-    record.cost = response.stats.cost;
+    record.cost = core::CostOf(response.stats);
     // Derive the explain report from this task's own stats — never from the
     // engine-wide last-query slot, which a concurrent worker may have
     // already overwritten.

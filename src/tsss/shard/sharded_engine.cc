@@ -14,47 +14,14 @@
 namespace tsss::shard {
 namespace {
 
-/// Folds one shard's per-query counters into the caller-visible total. Every
-/// field is a sum — the same linearity MergeExplainReports relies on.
-void AccumulateStats(const core::QueryStats& in, core::QueryStats* out) {
-  out->index_page_reads += in.index_page_reads;
-  out->index_page_misses += in.index_page_misses;
-  out->data_page_reads += in.data_page_reads;
-  out->candidates += in.candidates;
-  out->matches += in.matches;
-
-  out->penetration.tests += in.penetration.tests;
-  out->penetration.visits += in.penetration.visits;
-  out->penetration.outer_rejects += in.penetration.outer_rejects;
-  out->penetration.inner_accepts += in.penetration.inner_accepts;
-  out->penetration.slab_tests += in.penetration.slab_tests;
-  out->penetration.sphere_tests += in.penetration.sphere_tests;
-  out->penetration.exact_tests += in.penetration.exact_tests;
-
-  obs::QueryTelemetry& t = out->telemetry;
-  const obs::QueryTelemetry& s = in.telemetry;
-  t.nodes_visited += s.nodes_visited;
-  for (std::size_t i = 0; i < obs::QueryTelemetry::kMaxLevels; ++i) {
-    t.nodes_per_level[i] += s.nodes_per_level[i];
-  }
-  t.mbr_distance_evals += s.mbr_distance_evals;
-  t.leaf_candidates += s.leaf_candidates;
-  t.ep_prunes += s.ep_prunes;
-  t.bs_prunes += s.bs_prunes;
-  t.exact_prunes += s.exact_prunes;
-  t.entries_tested += s.entries_tested;
-  t.candidates_postfiltered += s.candidates_postfiltered;
-
-  out->cost += in.cost;
-}
-
 /// Per-shard cost rollup: every fan-out leg's spend lands in the
 /// shard-labelled cost metrics, whether or not the caller asked for stats
 /// and whether or not the overall query succeeds — the pages were read and
 /// the CPU was burned either way.
 void RecordShardCosts(const std::vector<service::QueryResponse>& responses) {
   for (std::size_t i = 0; i < responses.size(); ++i) {
-    obs::RecordQueryCost("shard", std::to_string(i), responses[i].stats.cost);
+    obs::RecordQueryCost("shard", std::to_string(i),
+                         core::CostOf(responses[i].stats));
   }
 }
 
@@ -289,14 +256,16 @@ Result<std::vector<core::Match>> ShardedEngine::RangeQuery(
   RecordShardCosts(*responses);
 
   std::vector<core::Match> merged;
+  core::QueryStats total;
   for (std::size_t i = 0; i < responses->size(); ++i) {
     service::QueryResponse& response = (*responses)[i];
     if (!response.status.ok()) return response.status;
     RemapToGlobal(static_cast<std::uint32_t>(i), &response.matches);
     merged.insert(merged.end(), response.matches.begin(),
                   response.matches.end());
-    if (stats != nullptr) AccumulateStats(response.stats, stats);
+    total += response.stats;
   }
+  if (stats != nullptr) *stats = total;
   // Windows are partitioned, so the per-shard answers are disjoint; the
   // union re-sorted by record is exactly the single-engine answer.
   std::sort(merged.begin(), merged.end(), RecordLess);
@@ -324,6 +293,7 @@ Result<std::vector<core::Match>> ShardedEngine::Knn(
   // order; any global top-k member is necessarily in its shard's local
   // top-k, so a k-way merge of the heads yields the global answer.
   std::vector<std::vector<core::Match>> lists(responses->size());
+  core::QueryStats total;
   for (std::size_t i = 0; i < responses->size(); ++i) {
     service::QueryResponse& response = (*responses)[i];
     if (!response.status.ok()) return response.status;
@@ -333,8 +303,9 @@ Result<std::vector<core::Match>> ShardedEngine::Knn(
     std::sort(response.matches.begin(), response.matches.end(),
               CanonicalLess);
     lists[i] = std::move(response.matches);
-    if (stats != nullptr) AccumulateStats(response.stats, stats);
+    total += response.stats;
   }
+  if (stats != nullptr) *stats = total;
 
   using Head = std::pair<std::size_t, std::size_t>;  // (list, position)
   auto head_greater = [&lists](const Head& a, const Head& b) {
@@ -374,14 +345,16 @@ Result<std::vector<core::Match>> ShardedEngine::LongRangeQuery(
   RecordShardCosts(*responses);
 
   std::vector<core::Match> merged;
+  core::QueryStats total;
   for (std::size_t i = 0; i < responses->size(); ++i) {
     service::QueryResponse& response = (*responses)[i];
     if (!response.status.ok()) return response.status;
     RemapToGlobal(static_cast<std::uint32_t>(i), &response.matches);
     merged.insert(merged.end(), response.matches.begin(),
                   response.matches.end());
-    if (stats != nullptr) AccumulateStats(response.stats, stats);
+    total += response.stats;
   }
+  if (stats != nullptr) *stats = total;
   // A series lives wholly in one shard, so every candidate piece of a
   // long query is verified in the shard that owns the series; the
   // per-window verdicts are disjoint and merge like a range query.

@@ -105,9 +105,10 @@ class ShardedEngine {
   /// map. Requires a file-backed config (engine.storage_dir non-empty).
   Status Checkpoint();
 
-  /// Fan-out counterparts of the SearchEngine query API. Answers and
-  /// `stats` (summed across shards) are in the global id space; matches are
-  /// bit-identical to a single engine indexing the same corpus.
+  /// Fan-out counterparts of the SearchEngine query API. Answers are in the
+  /// global id space and bit-identical to a single engine indexing the same
+  /// corpus. On success `stats` is overwritten with the sum of the shards'
+  /// ledgers, the same write rule as SearchEngine.
   Result<std::vector<core::Match>> RangeQuery(
       std::span<const double> query, double eps,
       const core::TransformCost& cost = {},

@@ -8,7 +8,7 @@
 #include "tsss/common/check.h"
 #include "tsss/common/crc32.h"
 #include "tsss/obs/metrics.h"
-#include "tsss/storage/query_counters.h"
+#include "tsss/obs/query_ledger.h"
 
 namespace tsss::storage {
 
@@ -31,14 +31,6 @@ namespace {
 
 std::uint32_t PageCrc(const Page& page) {
   return Crc32(page.bytes.data(), page.bytes.size());
-}
-
-/// Ticks the calling thread's per-query counters, if installed.
-void CountQueryPoolRead(bool miss) {
-  if (QueryCounters* qc = CurrentQueryCounters()) {
-    ++qc->pool_logical_reads;
-    if (miss) ++qc->pool_misses;
-  }
 }
 
 /// Process-wide pool counters in the metrics registry, aggregated across
@@ -164,7 +156,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
     ++metrics_.hits;
     PoolCounters().hits->Inc();
     if (labeled_hits_ != nullptr) labeled_hits_->Inc();
-    CountQueryPoolRead(/*miss=*/false);
+    obs::TickIndexPageRead(/*miss=*/false);
     ProfileAccess(shard, id, /*miss=*/false);
     Frame* frame = it->second.get();
     TouchLru(shard, frame);
@@ -174,7 +166,7 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   ++metrics_.misses;
   PoolCounters().misses->Inc();
   if (labeled_misses_ != nullptr) labeled_misses_->Inc();
-  CountQueryPoolRead(/*miss=*/true);
+  obs::TickIndexPageRead(/*miss=*/true);
   ProfileAccess(shard, id, /*miss=*/true);
   auto frame = std::make_unique<Frame>();
   frame->id = id;
@@ -201,7 +193,7 @@ Result<PageGuard> BufferPool::New() {
   ++metrics_.logical_reads;
   PoolCounters().logical_reads->Inc();
   if (labeled_logical_reads_ != nullptr) labeled_logical_reads_->Inc();
-  CountQueryPoolRead(/*miss=*/false);
+  obs::TickIndexPageRead(/*miss=*/false);
   const PageId id = store_->Allocate();
   Shard& shard = ShardFor(id);
   MutexLock lock(shard.mu);

@@ -4,17 +4,15 @@
 #include <string>
 
 #include "tsss/obs/metrics.h"
-#include "tsss/storage/query_counters.h"
+#include "tsss/obs/query_ledger.h"
 
 namespace tsss::storage {
 
 namespace {
-/// Ticks the per-query data-read counter of the calling thread (if any) and
-/// the process-wide registry counter.
+/// Ticks the calling thread's query ledger (if any) and the process-wide
+/// registry counter.
 void CountQueryDataReads(std::uint64_t pages) {
-  if (QueryCounters* qc = CurrentQueryCounters()) {
-    qc->data_page_reads += pages;
-  }
+  obs::TickDataPageReads(pages);
   static obs::Counter* const data_page_reads =
       obs::MetricsRegistry::Global().GetCounter(
           "tsss_data_page_reads_total",

@@ -1,4 +1,5 @@
-// Oracle test for the per-query pruning telemetry: on a tree whose root is a
+// Oracle test for the per-query pruning telemetry (the prune split that
+// ExplainFromStats derives from a query's ledger): on a tree whose root is a
 // single box leaf (sub-trail length 1, few windows), every indexed window is
 // individually penetration-tested, so the telemetry must account for each
 // one exactly: ep_prunes + bs_prunes + exact_prunes + leaf_candidates ==
@@ -17,6 +18,7 @@
 
 #include "tsss/core/engine.h"
 #include "tsss/geom/penetration.h"
+#include "tsss/obs/explain.h"
 #include "tsss/seq/stock_generator.h"
 
 namespace tsss::core {
@@ -52,6 +54,14 @@ std::vector<geom::Vec> ScaleShiftedQueries(const SearchEngine& engine) {
   return queries;
 }
 
+/// The prune split and funnel derived from one range query's ledger.
+obs::ExplainReport Derive(const SearchEngine& engine, double eps,
+                          const QueryStats& stats) {
+  auto report = engine.ExplainFromStats("range", eps, 0, 0, stats);
+  EXPECT_TRUE(report.ok());
+  return report.ok() ? *report : obs::ExplainReport{};
+}
+
 TEST(PruningTelemetryOracleTest, EveryWindowIsAccountedFor) {
   auto engine = MakeBoxLeafEngine();
   const std::uint64_t windows = engine->num_indexed_windows();
@@ -66,11 +76,11 @@ TEST(PruningTelemetryOracleTest, EveryWindowIsAccountedFor) {
         QueryStats stats;
         auto matches = engine->RangeQuery(query, eps, TransformCost{}, &stats);
         ASSERT_TRUE(matches.ok());
-        const obs::QueryTelemetry& t = stats.telemetry;
+        const obs::ExplainReport t = Derive(*engine, eps, stats);
 
         // The root is the only node and it is a leaf (level 0).
         EXPECT_EQ(t.nodes_visited, 1u);
-        EXPECT_EQ(t.nodes_per_level[0], 1u);
+        EXPECT_EQ(stats.nodes_per_level[0], 1u);
 
         // Every window was individually penetration-tested...
         ASSERT_EQ(t.entries_tested, windows);
@@ -115,26 +125,32 @@ TEST(PruningTelemetryOracleTest, SphereAblationShiftsPrunesNotTotals) {
 
     // The sphere tests only short-circuit the exact slab decision, so the
     // surviving candidate set - and hence the answer - is identical...
-    EXPECT_EQ(spheres.telemetry.leaf_candidates,
-              eep.telemetry.leaf_candidates);
+    EXPECT_EQ(spheres.leaf_candidates, eep.leaf_candidates);
     EXPECT_EQ(sphere_matches->size(), eep_matches->size());
     // ...and so is the total prune count; the spheres merely relabel some
     // EP prunes as outer-sphere rejections (the paper predicts few, because
     // R-tree boxes are long and thin and the outer sphere over-covers).
-    EXPECT_EQ(spheres.telemetry.ep_prunes + spheres.telemetry.bs_prunes,
-              eep.telemetry.ep_prunes);
-    EXPECT_EQ(eep.telemetry.bs_prunes, 0u);
+    const obs::ExplainReport eep_split = Derive(*engine, eps, eep);
+    const obs::ExplainReport sphere_split = Derive(*engine, eps, spheres);
+    EXPECT_EQ(sphere_split.ep_prunes + sphere_split.bs_prunes,
+              eep_split.ep_prunes);
+    EXPECT_EQ(eep_split.bs_prunes, 0u);
   }
 }
 
-TEST(PruningTelemetryOracleTest, TelemetrySkippedWhenStatsNotRequested) {
+TEST(PruningTelemetryOracleTest, QueryWithoutStatsOrTraceIsExplainable) {
   auto engine = MakeBoxLeafEngine();
   const auto queries = ScaleShiftedQueries(*engine);
-  // No stats pointer and no installed trace: the engine must not install
-  // telemetry (the hot path stays on the disabled branch); this just checks
-  // the call remains well-formed in that mode.
+  // No stats pointer and no installed trace: the ledger is always on, so the
+  // query is still snapshotted and its waterfall accounts for every window.
   auto matches = engine->RangeQuery(queries[0], 1.0);
-  EXPECT_TRUE(matches.ok());
+  ASSERT_TRUE(matches.ok());
+  auto report = engine->ExplainLast();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(obs::explain_accounted(*report));
+  EXPECT_EQ(report->entries_tested, engine->num_indexed_windows());
+  EXPECT_EQ(report->matches, matches->size());
+  EXPECT_EQ(report->candidates, report->postfiltered + report->matches);
 }
 
 TEST(PruningTelemetryOracleTest, PostFilterCountMatchesCandidatesMinusMatches) {
@@ -144,7 +160,7 @@ TEST(PruningTelemetryOracleTest, PostFilterCountMatchesCandidatesMinusMatches) {
     QueryStats stats;
     auto matches = engine->RangeQuery(query, 0.5, TransformCost{}, &stats);
     ASSERT_TRUE(matches.ok());
-    EXPECT_EQ(stats.telemetry.candidates_postfiltered,
+    EXPECT_EQ(Derive(*engine, 0.5, stats).postfiltered,
               stats.candidates - stats.matches);
     EXPECT_EQ(stats.matches, matches->size());
   }

@@ -201,10 +201,10 @@ TEST(FlightRecorderServiceTest, CheckBudgetForcesExactlyOneTimedOutCapture) {
   EXPECT_EQ(records[0].outcome, "timed_out");
   EXPECT_GT(records[0].latency_us, 0u);
   // The query unwound before the engine filled stats, so the explain totals
-  // must match the (empty) telemetry the response actually carries.
+  // must match the (empty) ledger the response actually carries.
   ASSERT_TRUE(records[0].has_explain);
   EXPECT_EQ(records[0].explain.entries_tested,
-            response.stats.telemetry.entries_tested);
+            response.stats.penetration.tests);
   EXPECT_TRUE(explain_accounted(records[0].explain));
   // Armed ⇒ the query ran under a trace; the capture carries it.
   EXPECT_NE(records[0].trace_json.find("\"traceEvents\""), std::string::npos);
@@ -232,23 +232,24 @@ TEST(FlightRecorderServiceTest, CapturedExplainTotalsMatchQueryStats) {
   ASSERT_TRUE(record.has_explain);
 
   // The explain report is derived from this query's own stats; its totals
-  // must agree with the telemetry the response carries, field by field.
-  const QueryTelemetry& t = response.stats.telemetry;
-  EXPECT_EQ(record.explain.entries_tested, t.entries_tested);
-  EXPECT_EQ(record.explain.ep_prunes, t.ep_prunes);
-  EXPECT_EQ(record.explain.bs_prunes, t.bs_prunes);
-  EXPECT_EQ(record.explain.exact_prunes, t.exact_prunes);
-  EXPECT_EQ(record.explain.nodes_visited, t.nodes_visited);
-  EXPECT_EQ(record.explain.leaf_candidates, t.leaf_candidates);
-  EXPECT_EQ(record.explain.mbr_distance_evals, t.mbr_distance_evals);
+  // must agree with the ledger the response carries, field by field.
+  const core::QueryStats& stats = response.stats;
+  EXPECT_EQ(record.explain.entries_tested, stats.penetration.tests);
+  EXPECT_EQ(record.explain.ep_prunes + record.explain.bs_prunes +
+                record.explain.exact_prunes,
+            stats.penetration.tests - stats.penetration.visits);
+  EXPECT_EQ(record.explain.nodes_visited, stats.nodes_visited());
+  EXPECT_EQ(record.explain.leaf_candidates, stats.leaf_candidates);
+  EXPECT_EQ(record.explain.mbr_distance_evals, stats.mbr_distance_evals);
   EXPECT_TRUE(explain_accounted(record.explain));
 
-  // Cost flows through unchanged, and the trace produced explain phases.
-  EXPECT_EQ(record.cost.cpu_us, response.stats.cost.cpu_us);
-  EXPECT_EQ(record.cost.pages_hit, response.stats.cost.pages_hit);
-  EXPECT_EQ(record.cost.pages_miss, response.stats.cost.pages_miss);
-  EXPECT_EQ(record.cost.candidates_verified,
-            response.stats.cost.candidates_verified);
+  // Cost is derived from the same ledger, and the trace produced explain
+  // phases.
+  EXPECT_EQ(record.cost.cpu_us, stats.cost.cpu_us);
+  EXPECT_EQ(record.cost.pages_hit,
+            stats.index_page_reads - stats.index_page_misses);
+  EXPECT_EQ(record.cost.pages_miss, stats.index_page_misses);
+  EXPECT_EQ(record.cost.candidates_verified, stats.candidates);
   EXPECT_FALSE(record.explain.phases.empty());
   EXPECT_EQ(record.latency_us,
             static_cast<std::uint64_t>(response.latency.count()));

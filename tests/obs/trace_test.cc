@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "tsss/obs/query_telemetry.h"
+#include "tsss/core/engine.h"
+#include "tsss/obs/query_ledger.h"
 
 namespace tsss::obs {
 namespace {
@@ -149,39 +150,58 @@ TEST(ObsTraceTest, StillOpenSpansGetDurationAsOfNow) {
 }
 
 TEST(ObsTelemetryTest, TicksAreNoopsWhenUninstalled) {
-  EXPECT_EQ(CurrentQueryTelemetry(), nullptr);
+  EXPECT_EQ(CurrentQueryLedger(), nullptr);
+  TickIndexPageRead(/*miss=*/true);
+  TickDataPageReads(2);
   TickNodeVisit(0);
   TickMbrDistanceEvals(3);
   TickLeafCandidates();
-  EXPECT_EQ(CurrentQueryTelemetry(), nullptr);
+  EXPECT_EQ(CurrentQueryLedger(), nullptr);
 }
 
 TEST(ObsTelemetryTest, ScopedInstallCollectsTicks) {
-  QueryTelemetry telemetry;
+  QueryLedger ledger;
   {
-    ScopedQueryTelemetry install(&telemetry);
-    ASSERT_EQ(CurrentQueryTelemetry(), &telemetry);
+    ScopedQueryLedger install(&ledger);
+    ASSERT_EQ(CurrentQueryLedger(), &ledger);
+    TickIndexPageRead(/*miss=*/false);
+    TickIndexPageRead(/*miss=*/true);
+    TickDataPageReads(3);
     TickNodeVisit(2);
     TickNodeVisit(0);
     TickMbrDistanceEvals(4);
     TickLeafCandidates(2);
+    {
+      // Scopes nest: the inner ledger wins, the outer one is restored.
+      QueryLedger inner;
+      ScopedQueryLedger install_inner(&inner);
+      TickLeafCandidates();
+      EXPECT_EQ(inner.leaf_candidates, 1u);
+    }
+    ASSERT_EQ(CurrentQueryLedger(), &ledger);
   }
-  EXPECT_EQ(CurrentQueryTelemetry(), nullptr);
-  EXPECT_EQ(telemetry.nodes_visited, 2u);
-  EXPECT_EQ(telemetry.nodes_per_level[0], 1u);
-  EXPECT_EQ(telemetry.nodes_per_level[2], 1u);
-  EXPECT_EQ(telemetry.mbr_distance_evals, 4u);
-  EXPECT_EQ(telemetry.leaf_candidates, 2u);
+  EXPECT_EQ(CurrentQueryLedger(), nullptr);
+  EXPECT_EQ(ledger.index_page_reads, 2u);
+  EXPECT_EQ(ledger.index_page_misses, 1u);
+  EXPECT_EQ(ledger.data_page_reads, 3u);
+  EXPECT_EQ(ledger.nodes_visited(), 2u);
+  EXPECT_EQ(ledger.nodes_per_level[0], 1u);
+  EXPECT_EQ(ledger.nodes_per_level[2], 1u);
+  EXPECT_EQ(ledger.mbr_distance_evals, 4u);
+  EXPECT_EQ(ledger.leaf_candidates, 2u);
 
-  telemetry.Reset();
-  EXPECT_EQ(telemetry.nodes_visited, 0u);
+  QueryLedger sum = ledger;
+  sum += ledger;
+  EXPECT_EQ(sum.index_page_reads, 4u);
+  EXPECT_EQ(sum.nodes_per_level[2], 2u);
+  EXPECT_EQ(sum.leaf_candidates, 4u);
 }
 
 TEST(ObsTelemetryTest, DeepLevelsFoldIntoLastSlot) {
-  QueryTelemetry telemetry;
-  ScopedQueryTelemetry install(&telemetry);
-  TickNodeVisit(QueryTelemetry::kMaxLevels + 5);
-  EXPECT_EQ(telemetry.nodes_per_level[QueryTelemetry::kMaxLevels - 1], 1u);
+  QueryLedger ledger;
+  ScopedQueryLedger install(&ledger);
+  TickNodeVisit(QueryLedger::kMaxLevels + 5);
+  EXPECT_EQ(ledger.nodes_per_level[QueryLedger::kMaxLevels - 1], 1u);
 }
 
 TEST(ObsTelemetryTest, AnnotateSpanAlwaysEmitsPruneCounters) {
@@ -191,8 +211,7 @@ TEST(ObsTelemetryTest, AnnotateSpanAlwaysEmitsPruneCounters) {
   {
     ScopedQueryTrace install(&trace);
     TraceSpan span("query");
-    QueryTelemetry telemetry;  // all zeros
-    AnnotateSpan(&span, telemetry);
+    core::AnnotateSpan(&span, core::QueryStats{});  // all zeros
   }
   const auto& args = trace.events()[0].args;
   bool saw_ep = false;
@@ -210,12 +229,11 @@ TEST(ObsTelemetryTest, AnnotateSpanEmitsNonZeroCounters) {
   {
     ScopedQueryTrace install(&trace);
     TraceSpan span("query");
-    QueryTelemetry telemetry;
-    telemetry.nodes_visited = 3;
-    telemetry.nodes_per_level[0] = 2;
-    telemetry.nodes_per_level[1] = 1;
-    telemetry.leaf_candidates = 9;
-    AnnotateSpan(&span, telemetry);
+    core::QueryStats stats;
+    stats.nodes_per_level[0] = 2;
+    stats.nodes_per_level[1] = 1;
+    stats.leaf_candidates = 9;
+    core::AnnotateSpan(&span, stats);
   }
   const auto& args = trace.events()[0].args;
   auto find = [&args](const std::string& key) -> const std::uint64_t* {

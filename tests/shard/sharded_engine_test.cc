@@ -1,7 +1,9 @@
 // ShardedEngine correctness: every sharded answer must be bit-identical to
 // the single-engine oracle over the same corpus (range, k-NN, long-range),
 // the summed per-shard explain waterfall must still satisfy the
-// explain_accounted() identity, and a persisted sharded index must survive a
+// explain_accounted() identity and the candidate funnel must add up for
+// every query kind, a caller's QueryStats is overwritten (never summed into)
+// by every query, and a persisted sharded index must survive a
 // Checkpoint/Open round trip — including rejecting tampered shard maps.
 
 #include <filesystem>
@@ -188,7 +190,7 @@ TEST(ShardedEngineTest, MergedExplainWaterfallStaysAccounted) {
   EXPECT_TRUE(obs::explain_accounted(*merged));
   EXPECT_EQ(merged->kind, "range");
   EXPECT_EQ(merged->matches, matches->size());
-  EXPECT_EQ(merged->entries_tested, stats.telemetry.entries_tested);
+  EXPECT_EQ(merged->entries_tested, stats.penetration.tests);
   // The merged report covers the whole partitioned index.
   EXPECT_EQ(merged->indexed_windows, sharded->num_indexed_windows());
 
@@ -226,6 +228,107 @@ TEST(ShardedEngineTest, StatsSumAcrossShardsMatchSingleEngineCandidates) {
   // of the indexed set + reducer, not the partitioning: every window within
   // reach of the query line is expanded exactly once either way.
   EXPECT_EQ(sharded_stats.candidates, oracle_stats.candidates);
+}
+
+/// Runs one range, k-NN and long-range query on `engine` and checks the
+/// explain funnel of each: every verified window either matched or was
+/// post-filtered, and the cost view verified exactly those windows.
+template <typename Engine>
+void ExpectFunnelAddsUp(const Engine& engine, const geom::Vec& window,
+                        const geom::Vec& long_query, const std::string& label) {
+  const auto check = [&](const char* kind, const core::QueryStats& stats) {
+    auto report = engine.ExplainLast();
+    ASSERT_TRUE(report.ok()) << label << " " << kind;
+    EXPECT_EQ(report->kind, kind) << label;
+    EXPECT_GT(report->candidates, 0u) << label << " " << kind;
+    EXPECT_EQ(report->candidates, report->postfiltered + report->matches)
+        << label << " " << kind;
+    EXPECT_EQ(report->cost.candidates_verified, report->candidates)
+        << label << " " << kind;
+    EXPECT_EQ(report->candidates, stats.candidates) << label << " " << kind;
+  };
+  core::QueryStats stats;
+  ASSERT_TRUE(engine.RangeQuery(window, 6.0, {}, &stats).ok());
+  check("range", stats);
+  ASSERT_TRUE(engine.Knn(window, 5, {}, &stats).ok());
+  check("knn", stats);
+  ASSERT_TRUE(engine.LongRangeQuery(long_query, 10.0, {}, &stats).ok());
+  check("long_range", stats);
+  // Several pieces propose the same full window, so raw piece hits (the
+  // ledger's leaf_candidates) outnumber the deduplicated windows verified.
+  EXPECT_GT(stats.leaf_candidates, stats.candidates) << label;
+}
+
+TEST(ShardedEngineTest, ExplainFunnelAddsUpForEveryQueryKind) {
+  const auto corpus = MakeCorpus();
+  auto oracle = MakeOracle(corpus);
+  auto sharded = MakeSharded(corpus, 4);
+  auto window = oracle->ReadWindow(seq::MakeRecordId(3, 40));
+  ASSERT_TRUE(window.ok());
+  geom::Vec long_query(3 * kWindow);
+  for (std::size_t j = 0; j < long_query.size(); ++j) {
+    long_query[j] = corpus[1].values[j];
+  }
+  ExpectFunnelAddsUp(*oracle, *window, long_query, "single");
+  ExpectFunnelAddsUp(*sharded, *window, long_query, "sharded");
+}
+
+/// Deterministic ledger counts of two runs of the same query (CPU time and
+/// the pool's hit/miss split depend on the run, not the query).
+void ExpectSameCounts(const core::QueryStats& got,
+                      const core::QueryStats& want, const std::string& label) {
+  EXPECT_EQ(got.candidates, want.candidates) << label;
+  EXPECT_EQ(got.matches, want.matches) << label;
+  EXPECT_EQ(got.leaf_candidates, want.leaf_candidates) << label;
+  EXPECT_EQ(got.mbr_distance_evals, want.mbr_distance_evals) << label;
+  EXPECT_EQ(got.nodes_per_level, want.nodes_per_level) << label;
+  EXPECT_EQ(got.index_page_reads, want.index_page_reads) << label;
+  EXPECT_EQ(got.data_page_reads, want.data_page_reads) << label;
+  EXPECT_EQ(got.penetration.tests, want.penetration.tests) << label;
+  EXPECT_EQ(got.penetration.visits, want.penetration.visits) << label;
+}
+
+/// One write rule for a caller's QueryStats: every query overwrites the
+/// whole record, whatever it held before.
+template <typename Engine>
+void ExpectQueriesOverwriteStats(const Engine& engine, const geom::Vec& window,
+                                 const geom::Vec& long_query,
+                                 const std::string& label) {
+  core::QueryStats fresh;
+  ASSERT_TRUE(engine.RangeQuery(window, 6.0, {}, &fresh).ok());
+  ASSERT_GT(fresh.candidates, 0u);
+  ASSERT_GT(fresh.penetration.tests, 0u);
+
+  // The same query twice into one record reads the same counts, not twice
+  // the counts.
+  core::QueryStats reused;
+  ASSERT_TRUE(engine.RangeQuery(window, 6.0, {}, &reused).ok());
+  ASSERT_TRUE(engine.RangeQuery(window, 6.0, {}, &reused).ok());
+  ExpectSameCounts(reused, fresh, label + " range twice");
+
+  // k-NN runs no penetration tests; the range query's must not linger.
+  ASSERT_TRUE(engine.Knn(window, 5, {}, &reused).ok());
+  EXPECT_EQ(reused.penetration.tests, 0u) << label;
+  EXPECT_EQ(reused.penetration.visits, 0u) << label;
+
+  core::QueryStats fresh_long;
+  ASSERT_TRUE(engine.LongRangeQuery(long_query, 10.0, {}, &fresh_long).ok());
+  ASSERT_TRUE(engine.LongRangeQuery(long_query, 10.0, {}, &reused).ok());
+  ExpectSameCounts(reused, fresh_long, label + " long after knn");
+}
+
+TEST(ShardedEngineTest, EveryQueryOverwritesTheCallersStats) {
+  const auto corpus = MakeCorpus();
+  auto oracle = MakeOracle(corpus);
+  auto sharded = MakeSharded(corpus, 4);
+  auto window = oracle->ReadWindow(seq::MakeRecordId(3, 40));
+  ASSERT_TRUE(window.ok());
+  geom::Vec long_query(3 * kWindow);
+  for (std::size_t j = 0; j < long_query.size(); ++j) {
+    long_query[j] = corpus[1].values[j];
+  }
+  ExpectQueriesOverwriteStats(*oracle, *window, long_query, "single");
+  ExpectQueriesOverwriteStats(*sharded, *window, long_query, "sharded");
 }
 
 TEST(ShardedEngineTest, EmptyAndUnevenShardsAnswerCorrectly) {

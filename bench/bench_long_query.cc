@@ -6,6 +6,7 @@
 // the partitioned index search against a brute-force scan over full-length
 // windows, checking both cost and (by construction guaranteed) completeness.
 
+#include <algorithm>
 #include <set>
 
 #include "bench_common.h"
@@ -36,7 +37,15 @@ int main(int argc, char** argv) {
   if (std::getenv("TSSS_COMPANIES") == nullptr && !env.full) env.companies = 100;
   const auto market = bench::MakeMarket(env);
 
-  core::EngineConfig config;  // window 128
+  // Query lengths are 2, 3 and 4 index windows, so the longest must fit the
+  // shortest series: the window is 128 (the engine default) unless the
+  // corpus is too short for that, as at smoke scale.
+  std::size_t shortest = market.front().values.size();
+  for (const auto& series : market) {
+    shortest = std::min(shortest, series.values.size());
+  }
+  core::EngineConfig config;
+  config.window = std::min<std::size_t>(config.window, shortest / 4);
   auto engine = bench::BuildEngine(config, market);
 
   bench::JsonReport report("long_query", env);
@@ -49,7 +58,8 @@ int main(int argc, char** argv) {
               "eps", "tree_ms", "brute_ms", "pages", "candidates", "matches");
 
   Rng rng(505);
-  for (const std::size_t len : {256u, 384u, 512u}) {
+  for (const std::size_t pieces : {2u, 3u, 4u}) {
+    const std::size_t len = pieces * config.window;
     // Queries drawn from the data, scale-shifted.
     std::vector<geom::Vec> queries;
     for (std::size_t q = 0; q < std::min<std::size_t>(env.queries, 15); ++q) {
@@ -63,6 +73,12 @@ int main(int argc, char** argv) {
       const double a = rng.Uniform(0.5, 2.0);
       for (double& x : query) x = a * x + 3.0;
       queries.push_back(std::move(query));
+    }
+    if (queries.empty()) {
+      // A row over zero queries would report null averages that no gate can
+      // compare; fail instead.
+      std::fprintf(stderr, "no query of length %zu fits the corpus\n", len);
+      return 1;
     }
     const double eps = 1.0;
 
@@ -101,13 +117,13 @@ int main(int argc, char** argv) {
 
     const double q = static_cast<double>(queries.size());
     std::printf("%-8zu %-8zu %-10.2f %12.3f %12.3f %12.1f %12.1f %10.1f\n", len,
-                len / config.window, eps, 1e3 * tree_seconds / q,
+                pieces, eps, 1e3 * tree_seconds / q,
                 1e3 * brute_seconds / q, static_cast<double>(pages) / q,
                 static_cast<double>(candidates) / q,
                 static_cast<double>(tree_matches) / q);
     report.AddRow()
         .Set("len", len)
-        .Set("pieces", static_cast<std::uint64_t>(len / config.window))
+        .Set("pieces", static_cast<std::uint64_t>(pieces))
         .Set("eps", eps)
         .Set("tree_ms", 1e3 * tree_seconds / q)
         .Set("brute_ms", 1e3 * brute_seconds / q)

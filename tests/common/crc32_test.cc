@@ -1,6 +1,8 @@
 #include "tsss/common/crc32.h"
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +73,50 @@ TEST(Crc32Test, PageSizedBufferOfZerosIsStable) {
   const std::uint32_t crc = Crc32(zeros.data(), zeros.size());
   EXPECT_EQ(crc, Crc32(zeros.data(), zeros.size()));
   EXPECT_NE(crc, 0u);
+}
+
+/// Table-free, bit-at-a-time CRC-32 register update (reflected IEEE
+/// polynomial): the definition the sliced implementation must agree with.
+std::uint32_t BitwiseUpdate(std::uint32_t reg, unsigned char byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    reg = (reg & 1u) ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+  }
+  return reg;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..4104 (one page plus a partial 8-byte block) from start
+  // offsets 0..7 cover the sliced 8-byte loop, every tail length and every
+  // alignment of the input pointer.
+  constexpr std::size_t kMaxLen = 4104;
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  std::uint32_t x = 0x12345678u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  const std::string prefix = "abc";
+  const std::uint32_t prefix_crc = Crc32(prefix.data(), prefix.size());
+  std::uint32_t prefix_reg = ~0u;
+  for (char c : prefix) {
+    prefix_reg = BitwiseUpdate(prefix_reg, static_cast<unsigned char>(c));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* data = buf.data() + offset;
+    std::uint32_t reg = ~0u;               // running reference, fresh start
+    std::uint32_t continued = prefix_reg;  // running reference after "abc"
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        reg = BitwiseUpdate(reg, data[len - 1]);
+        continued = BitwiseUpdate(continued, data[len - 1]);
+      }
+      ASSERT_EQ(Crc32(data, len), ~reg)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32Continue(prefix_crc, data, len), ~continued)
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 }  // namespace

@@ -145,5 +145,46 @@ TEST_F(MalformedMetaTest, TruncatedMetaBodyIsCorruption) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
 }
 
+TEST_F(MalformedMetaTest, RejectedMetaIsLeftUntouched) {
+  // A failed Open must not write: a store that was never built cannot run
+  // its destructor's Sync(), so the corrupt file still reads as corrupt on
+  // the next Open instead of silently becoming an empty volume.
+  {
+    auto store = FilePageStore::Create(path_);
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    for (int i = 0; i < 3; ++i) (*store)->Allocate();
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+  std::vector<char> meta = ReadAll(MetaPath());
+  ASSERT_GE(meta.size(), 24u);
+  meta[0] = static_cast<char>(meta[0] ^ 0x01);
+  WriteAll(MetaPath(), meta);
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto reopened = FilePageStore::Open(path_);
+    ASSERT_FALSE(reopened.ok()) << "attempt " << attempt;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+        << "attempt " << attempt;
+    EXPECT_EQ(ReadAll(MetaPath()), meta) << "attempt " << attempt;
+  }
+}
+
+TEST_F(MalformedMetaTest, RejectedLiveCountIsReportedTheSameTwice) {
+  CreateStoreWithOnePage(0xAB);
+  std::vector<char> meta = ReadAll(MetaPath());
+  ASSERT_GE(meta.size(), 24u);
+  const std::uint64_t bogus = 17;  // capacity is 1
+  std::memcpy(meta.data() + 16, &bogus, sizeof(bogus));
+  WriteAll(MetaPath(), meta);
+
+  auto first = FilePageStore::Open(path_);
+  ASSERT_FALSE(first.ok());
+  auto second = FilePageStore::Open(path_);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(second.status().message(), first.status().message());
+  EXPECT_EQ(ReadAll(MetaPath()), meta);
+}
+
 }  // namespace
 }  // namespace tsss::storage

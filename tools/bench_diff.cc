@@ -17,6 +17,10 @@
 //   count   (everything else)                      deterministic; must match
 //           exactly unless listed with --ignore
 //
+// A null or non-finite value (how a report writes an average over nothing)
+// fails in every class, --counts-only included: a metric that measured
+// nothing cannot pass a gate.
+//
 // --counts-only skips the time/rate/noisy classes entirely — the mode CI
 // uses against the committed bench/baselines snapshot, where wall times from
 // another machine are meaningless but page/candidate/match counts are not.
@@ -128,7 +132,11 @@ bool CompareMetric(const std::string& where, const std::string& key,
   }
   switch (base.kind) {
     case JsonValue::Kind::kNull:
-      return true;
+      // A null metric (how the reports write NaN) measured nothing; two
+      // nulls must not count as "unchanged".
+      std::printf("FAIL %s.%s: null (nothing was measured)\n", where.c_str(),
+                  key.c_str());
+      return false;
     case JsonValue::Kind::kBool:
       if (base.boolean != cur.boolean) {
         std::printf("FAIL %s.%s: %s -> %s\n", where.c_str(), key.c_str(),
@@ -152,6 +160,11 @@ bool CompareMetric(const std::string& where, const std::string& key,
 
   const double b = base.number;
   const double c = cur.number;
+  if (!std::isfinite(b) || !std::isfinite(c)) {
+    std::printf("FAIL %s.%s: not finite (%g -> %g)\n", where.c_str(),
+                key.c_str(), b, c);
+    return false;
+  }
   switch (Classify(key)) {
     case MetricClass::kCount:
       if (b != c) {

@@ -26,6 +26,7 @@
 // Exits non-zero naming the first offending file/field. JSON parsing lives in
 // tools/json_mini.h (shared with bench_diff).
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -133,6 +134,15 @@ bool CheckBench(const JsonValue& root, std::string* error) {
           value.kind == JsonValue::Kind::kObject) {
         *error = "rows[" + std::to_string(i) + "]." + key +
                  " must be a scalar";
+        return false;
+      }
+      // The reports write a non-finite metric (e.g. an average over zero
+      // queries) as null; a gate cannot compare it, so it is an error.
+      if (value.kind == JsonValue::Kind::kNull ||
+          (value.kind == JsonValue::Kind::kNumber &&
+           !std::isfinite(value.number))) {
+        *error = "rows[" + std::to_string(i) + "]." + key +
+                 " is null or not finite (nothing was measured)";
         return false;
       }
     }

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
   const double eps = 0.5;
   for (std::size_t fc = 1; fc <= 8; ++fc) {
     core::EngineConfig config;
+    // This benchmark measures the index, so keep the range planner off the scan.
+    config.range_plan = core::RangePlan::kIndex;
     config.reduced_dim = 2 * fc;
     // High dimensions shrink the page capacity below the paper's M = 20;
     // clamp M so every configuration still fits one node per 4 KiB page.

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
                                        reduce::ReducerKind::kHaar};
   for (const reduce::ReducerKind kind : kinds) {
     core::EngineConfig config;
+    // This benchmark measures the index, so keep the range planner off the scan.
+    config.range_plan = core::RangePlan::kIndex;
     config.reducer = kind;
     config.reduced_dim = 6;
     auto engine = bench::BuildEngine(config, market);

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   const auto market = bench::MakeMarket(env);
 
   core::EngineConfig config;
+  // This benchmark measures the index, so keep the range planner off the scan.
+  config.range_plan = core::RangePlan::kIndex;
   auto engine = bench::BuildEngine(config, market);
   const auto queries = bench::MakeQueries(market, env.queries, config.window);
 

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
 
   for (const std::size_t trail : {0u, 5u, 10u, 25u, 50u, 100u}) {
     core::EngineConfig config;
+    // This benchmark measures the index, so keep the range planner off the scan.
+    config.range_plan = core::RangePlan::kIndex;
     config.subtrail_len = trail;
     auto engine = bench::BuildEngine(config, market);
     const auto queries = bench::MakeQueries(market, env.queries, config.window);

@@ -21,6 +21,8 @@ RunResult RunConfig(const std::vector<tsss::seq::TimeSeries>& market,
                     bool bulk, double eps) {
   using namespace tsss;
   core::EngineConfig config;
+  // This benchmark measures the index, so keep the range planner off the scan.
+  config.range_plan = core::RangePlan::kIndex;
   config.tree.split = split;
   config.tree.max_entries = fanout;
   RunResult out;

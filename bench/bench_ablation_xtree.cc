@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
   for (const std::size_t dim : {6u, 10u, 14u}) {
     for (const bool supernodes : {false, true}) {
       core::EngineConfig config;
+      // This benchmark measures the index, so keep the range planner off the scan.
+      config.range_plan = core::RangePlan::kIndex;
       config.reduced_dim = dim;
       const index::NodeCodec codec(dim);
       config.tree.max_entries =

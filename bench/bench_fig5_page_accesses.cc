@@ -18,10 +18,14 @@ int main(int argc, char** argv) {
   const auto market = bench::MakeMarket(env);
 
   core::EngineConfig config;  // paper defaults
+  // This benchmark measures the index, so keep the range planner off the scan.
+  config.range_plan = core::RangePlan::kIndex;
   auto engine = bench::BuildEngine(config, market);
   // The paper follows the ST-index [2], which stores sub-trail MBRs rather
   // than one point per window; build that variant too (L = 10).
   core::EngineConfig trail_config;
+  // This benchmark measures the index, so keep the range planner off the scan.
+  trail_config.range_plan = core::RangePlan::kIndex;
   trail_config.subtrail_len = 10;
   auto trail_engine = bench::BuildEngine(trail_config, market);
   const auto queries = bench::MakeQueries(market, env.queries, config.window);

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
     const auto market = bench::MakeMarket(sub);
 
     core::EngineConfig config;
+    // This benchmark measures the index, so keep the range planner off the scan.
+    config.range_plan = core::RangePlan::kIndex;
     auto engine = bench::BuildEngine(config, market);
     const auto queries = bench::MakeQueries(market, env.queries, config.window);
     core::SequentialScanner scanner(&engine->dataset(), config.window);

@@ -43,6 +43,14 @@ PruneSplit SplitPrunes(const geom::PenetrationStats& pen) {
   return split;
 }
 
+/// The path(s) a range query took, from the planner's counts.
+const char* PlanName(const QueryStats::Plan& plan) {
+  if (plan.index > 0 && plan.scan > 0) return "mixed";
+  if (plan.scan > 0) return "scan";
+  if (plan.index > 0) return "index";
+  return "none";
+}
+
 /// Verified windows that exact verification discarded.
 std::uint64_t Postfiltered(const QueryStats& stats) {
   return stats.candidates >= stats.matches ? stats.candidates - stats.matches
@@ -76,6 +84,12 @@ void AnnotateSpan(obs::TraceSpan* span, const QueryStats& stats) {
       span->Annotate(key.c_str(), stats.nodes_per_level[level]);
     }
   }
+  put("plan_index", stats.plan.index);
+  put("plan_scan", stats.plan.scan);
+  put("plan_leaf_pages", stats.plan.leaf_pages);
+  put("plan_index_cost", stats.plan.index_cost);
+  put("plan_scan_cost", stats.plan.scan_cost);
+  put("windows_scanned", stats.windows_scanned);
   put("mbr_distance_evals", stats.mbr_distance_evals);
   put("leaf_candidates", stats.leaf_candidates);
   put("entries_tested", stats.penetration.tests);
@@ -100,6 +114,12 @@ Result<obs::ExplainReport> SearchEngine::ExplainFromStats(
   r.k = k;
   r.prune_strategy = PruneName(config_.prune);
   r.elapsed_us = elapsed_us;
+
+  r.plan = PlanName(stats.plan);
+  r.plan_leaf_pages = stats.plan.leaf_pages;
+  r.plan_index_cost = stats.plan.index_cost;
+  r.plan_scan_cost = stats.plan.scan_cost;
+  r.windows_scanned = stats.windows_scanned;
 
   r.tree_height = shape->height;
   r.tree_nodes = shape->node_count;

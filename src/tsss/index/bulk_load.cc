@@ -70,6 +70,7 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
     root_ = guard->id();
     height_ = 1;
     size_ = 0;
+    leaf_count_ = 1;
     return Status::OK();
   }
 
@@ -97,6 +98,7 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
       root_ = guard->id();
       height_ = static_cast<std::size_t>(level) + 1;
       size_ = n;
+      if (level == 0) leaf_count_ = 1;
       return Status::OK();
     }
     std::size_t begin = 0;
@@ -121,6 +123,7 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
       parents.push_back(Entry::ForChild(guard->id(), node.ComputeMbr(config_.dim)));
       begin += chunk;
     }
+    if (level == 0) leaf_count_ = parents.size();
     current = std::move(parents);
     ++level;
   }

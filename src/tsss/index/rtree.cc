@@ -105,6 +105,19 @@ Result<std::unique_ptr<RTree>> RTree::Attach(storage::BufferPool* pool,
                               std::to_string(root_node->level) +
                               " does not match height " + std::to_string(height));
   }
+  // The leaf count is not persisted: the entries of the level-1 nodes are
+  // the leaves, so one walk over the internal levels recovers it.
+  std::vector<storage::PageId> level{root};
+  for (std::size_t depth = height; depth > 1; --depth) {
+    std::vector<storage::PageId> below;
+    for (const storage::PageId page : level) {
+      Result<Node> node = tree->LoadNode(page);
+      if (!node.ok()) return node.status();
+      for (const Entry& e : node->entries) below.push_back(e.child);
+    }
+    level = std::move(below);
+  }
+  tree->leaf_count_ = level.size();
   return tree;
 }
 
@@ -417,6 +430,7 @@ Status RTree::PropagateUp(std::vector<PathStep> path,
         right.entries = std::move(split.right);
         Result<storage::PageId> right_page = StoreNewNode(right);
         if (!right_page.ok()) return right_page.status();
+        if (right.is_leaf()) ++leaf_count_;
         sibling = Entry::ForChild(*right_page, right.ComputeMbr(config_.dim));
       }
     }
@@ -556,6 +570,7 @@ Status RTree::CondenseTree(std::vector<PathStep> path) {
       if (!s.ok()) return s;
       s = FreeNodeChain(path[i].page);
       if (!s.ok()) return s;
+      if (node->is_leaf()) --leaf_count_;
     } else {
       parent->entries[idx].mbr = node->ComputeMbr(config_.dim);
       Status s = StoreNode(path[i - 1].page, *parent);
@@ -701,7 +716,7 @@ Status CheckEntryBox(const geom::Mbr& box, std::size_t dim, bool expect_point,
 
 Status RTree::CheckNode(storage::PageId page, std::uint16_t expected_level,
                         const geom::Mbr* parent_box, bool is_root,
-                        std::size_t* entries_seen) {
+                        std::size_t* entries_seen, std::size_t* leaves_seen) {
   Result<Node> node = LoadNode(page);
   if (!node.ok()) return node.status();
   if (node->level != expected_level) {
@@ -742,11 +757,12 @@ Status RTree::CheckNode(storage::PageId page, std::uint16_t expected_level,
   }
   if (node->is_leaf()) {
     *entries_seen += node->entries.size();
+    ++*leaves_seen;
     return Status::OK();
   }
   for (const Entry& e : node->entries) {
     Status s = CheckNode(e.child, static_cast<std::uint16_t>(expected_level - 1),
-                         &e.mbr, false, entries_seen);
+                         &e.mbr, false, entries_seen, leaves_seen);
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -760,13 +776,19 @@ Status RTree::ValidateInvariants() {
     return Status::Corruption("tree height is zero");
   }
   std::size_t entries_seen = 0;
+  std::size_t leaves_seen = 0;
   Status s = CheckNode(root_, static_cast<std::uint16_t>(height_ - 1), nullptr,
-                       true, &entries_seen);
+                       true, &entries_seen, &leaves_seen);
   if (!s.ok()) return s;
   if (entries_seen != size_) {
     return Status::Corruption("entry count mismatch: tree says " +
                               std::to_string(size_) + ", walk found " +
                               std::to_string(entries_seen));
+  }
+  if (leaves_seen != leaf_count_) {
+    return Status::Corruption("leaf count mismatch: tree says " +
+                              std::to_string(leaf_count_) + ", walk found " +
+                              std::to_string(leaves_seen));
   }
   return Status::OK();
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "tsss/common/status.h"
@@ -189,9 +190,27 @@ class RTree {
   /// The paper's search (Section 6): all records whose indexed point lies
   /// within `eps` of `line`, visiting only subtrees admitted by `strategy`
   /// (Theorem 3 guarantees no false dismissal). `stats` may be null.
+  /// The walk is level-order and equals LineLeafFrontier followed by
+  /// LineLeafMatches over the frontier it returns.
   Result<std::vector<LineMatch>> LineQuery(const geom::Line& line, double eps,
                                            geom::PruneStrategy strategy,
                                            geom::PenetrationStats* stats) const;
+
+  /// First half of LineQuery: loads the internal levels top-down, one level
+  /// at a time, and returns the leaf pages their penetration tests admit -
+  /// exactly the leaves LineQuery reads. Counts node visits and penetration
+  /// tests of the internal levels only. For a one-level tree the frontier
+  /// is the root. The engine's planner prices the index from its size.
+  Result<std::vector<storage::PageId>> LineLeafFrontier(
+      const geom::Line& line, double eps, geom::PruneStrategy strategy,
+      geom::PenetrationStats* stats) const;
+
+  /// Second half of LineQuery: tests the entries of `leaves` (a frontier
+  /// from LineLeafFrontier with the same line, eps and strategy).
+  Result<std::vector<LineMatch>> LineLeafMatches(
+      std::span<const storage::PageId> leaves, const geom::Line& line,
+      double eps, geom::PruneStrategy strategy,
+      geom::PenetrationStats* stats) const;
 
   /// The k records whose points are nearest to `line` in reduced distance,
   /// in increasing order (branch-and-bound best-first search).
@@ -235,6 +254,14 @@ class RTree {
   std::size_t size() const { return size_; }
   /// Levels in the tree; 1 when the root is a leaf.
   std::size_t height() const { return height_; }
+  /// Number of leaf nodes (maintained by every mutation, counted on Attach).
+  std::size_t leaf_count() const { return leaf_count_; }
+  /// Mean data entries per leaf node.
+  double avg_leaf_entries() const {
+    return leaf_count_ == 0 ? 0.0
+                            : static_cast<double>(size_) /
+                                  static_cast<double>(leaf_count_);
+  }
   /// Resolved max entries for leaf nodes (config value or page capacity).
   std::size_t leaf_capacity() const { return leaf_max_; }
   /// First page of the root node (persisted by the engine's checkpoint).
@@ -246,7 +273,8 @@ class RTree {
   ///  * parent MBRs tightly contain (equal) the union of their children,
   ///  * fanout within [m, M] for non-roots, internal root has >= 2 entries,
   ///  * uniform leaf depth (every root-to-leaf path has length `height`),
-  ///  * total leaf entry count matches size(),
+  ///  * total leaf entry count matches size() and the leaf node count
+  ///    matches leaf_count(),
   ///  * every box has matching dimensionality, finite coordinates and
   ///    lo <= hi; point-mode leaves hold degenerate boxes,
   ///  * internal entries reference valid child pages.
@@ -336,7 +364,7 @@ class RTree {
 
   Status CheckNode(storage::PageId page, std::uint16_t expected_level,
                    const geom::Mbr* parent_box, bool is_root,
-                   std::size_t* entries_seen);
+                   std::size_t* entries_seen, std::size_t* leaves_seen);
 
   storage::BufferPool* pool_;
   RTreeConfig config_;
@@ -345,6 +373,7 @@ class RTree {
   std::size_t leaf_max_ = 0;
   std::size_t size_ = 0;
   std::size_t height_ = 1;
+  std::size_t leaf_count_ = 1;
 };
 
 /// Publishes the headline numbers of `stats` as tsss_tree_* gauges in the

@@ -71,8 +71,14 @@ ExplainReport MergeExplainReports(const std::vector<ExplainReport>& parts) {
   merged.eps = parts.front().eps;
   merged.k = parts.front().k;
   merged.prune_strategy = parts.front().prune_strategy;
+  merged.plan = parts.front().plan;
 
   for (const ExplainReport& part : parts) {
+    if (part.plan != merged.plan) merged.plan = "mixed";
+    merged.plan_leaf_pages += part.plan_leaf_pages;
+    merged.plan_index_cost += part.plan_index_cost;
+    merged.plan_scan_cost += part.plan_scan_cost;
+    merged.windows_scanned += part.windows_scanned;
     if (part.elapsed_us > merged.elapsed_us) merged.elapsed_us = part.elapsed_us;
     if (part.tree_height > merged.tree_height) {
       merged.tree_height = part.tree_height;
@@ -147,6 +153,16 @@ std::string RenderExplainText(const ExplainReport& r) {
                 r.prune_strategy.c_str(),
                 static_cast<unsigned long long>(r.elapsed_us));
   out += buf;
+
+  if (r.plan != "none") {
+    std::snprintf(buf, sizeof(buf), "plan: %s\n", r.plan.c_str());
+    out += buf;
+    Row(&out, "leaf pages (frontier)", r.plan_leaf_pages);
+    Row(&out, "index estimate (windows)", r.plan_index_cost);
+    Row(&out, "scan estimate (windows)", r.plan_scan_cost);
+    Row(&out, "windows scanned", r.windows_scanned);
+    out += "\n";
+  }
 
   std::snprintf(buf, sizeof(buf), "index walk %28s %9s\n", "visited", "total");
   out += buf;
@@ -252,8 +268,16 @@ std::string RenderExplainJson(const ExplainReport& r) {
                 static_cast<unsigned long long>(r.elapsed_us));
   out += buf;
 
+  out += "\"plan\":{\"chosen\":\"" + EscapeJson(r.plan) + "\"";
+  bool first = false;
+  AppendU64(&out, "leaf_pages", r.plan_leaf_pages, &first);
+  AppendU64(&out, "index_cost", r.plan_index_cost, &first);
+  AppendU64(&out, "scan_cost", r.plan_scan_cost, &first);
+  AppendU64(&out, "windows_scanned", r.windows_scanned, &first);
+  out += "},";
+
   out += "\"totals\":{";
-  bool first = true;
+  first = true;
   AppendU64(&out, "tree_height", r.tree_height, &first);
   AppendU64(&out, "tree_nodes", r.tree_nodes, &first);
   AppendU64(&out, "nodes_visited", r.nodes_visited, &first);

@@ -41,6 +41,14 @@ struct ExplainReport {
   std::string prune_strategy;  ///< "eep" | "spheres" | "exact"
   std::uint64_t elapsed_us = 0;
 
+  // --- range plan (core::QueryStats::Plan) ---
+  /// "index" | "scan" | "mixed" (shards differed) | "none" (k-NN, long)
+  std::string plan = "none";
+  std::uint64_t plan_leaf_pages = 0;  ///< leaf frontier of the internal walk
+  std::uint64_t plan_index_cost = 0;  ///< estimate, in scanned windows
+  std::uint64_t plan_scan_cost = 0;   ///< estimate: windows on the grid
+  std::uint64_t windows_scanned = 0;  ///< windows the scan estimated
+
   // --- traversal vs. tree shape ---
   std::size_t tree_height = 0;
   std::uint64_t tree_nodes = 0;
@@ -52,6 +60,9 @@ struct ExplainReport {
   // (checked by explain_accounted() and the oracle tests):
   //   entries_tested == ep_prunes + bs_prunes + exact_prunes
   //                     + descents + accepted_leaf_entries
+  // A walk the planner abandoned for the scan counts only the tests of
+  // the internal levels; its descents into the leaf frontier are not
+  // followed by leaf visits.
   std::uint64_t entries_tested = 0;
   std::uint64_t ep_prunes = 0;     ///< entering/exiting-point slab rejects
   std::uint64_t bs_prunes = 0;     ///< bounding-sphere outer rejects
@@ -110,8 +121,9 @@ void FillExplainPhases(const QueryTrace& trace, ExplainReport* report);
 std::string RenderExplainText(const ExplainReport& report);
 
 /// Machine-readable report:
-///   {"schema_version":1,"report":"explain","query":{...},"totals":{...},
-///    "levels":[...],"io":{...},"baseline":{...},"cost":{...},"phases":[...]}
+///   {"schema_version":1,"report":"explain","query":{...},"plan":{...},
+///    "totals":{...},"levels":[...],"io":{...},"baseline":{...},
+///    "cost":{...},"phases":[...]}
 /// Validated by tools/bench_schema_check --schema explain.
 std::string RenderExplainJson(const ExplainReport& report);
 

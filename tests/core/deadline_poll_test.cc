@@ -1,4 +1,5 @@
-// Regression coverage for the verify-loop ExecControl polls.
+// Regression coverage for the verify-loop ExecControl polls (and the
+// per-series poll of the range scan plan).
 //
 // The candidate-verification loops in SearchEngine::RangeQuery, Knn, and
 // LongRangeQuery read data pages after the index walk has finished, so a
@@ -35,6 +36,9 @@ EngineConfig SmallEngineConfig() {
   config.reduced_dim = 4;
   config.tree.max_entries = 8;
   config.buffer_pool_pages = 128;
+  // The polls under test are the index path's; the scan plan has its own
+  // test (ScanPlanPollsDeadline).
+  config.range_plan = RangePlan::kIndex;
   return config;
 }
 
@@ -87,6 +91,34 @@ TEST_F(DeadlinePollTest, RangeQueryVerifyLoopPollsDeadline) {
   // prove nothing about the verify loop.
   ASSERT_GE(stats.candidates, 1u);
   ASSERT_GT(total_polls, stats.index_page_reads);
+
+  ExecControl budgeted;
+  budgeted.set_check_budget(total_polls - 1);
+  ScopedExecControl scoped(&budgeted);
+  auto matches = engine_->RangeQuery(query, 0.5);
+  ASSERT_FALSE(matches.ok());
+  EXPECT_EQ(matches.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// The scan plan reads no index nodes, so its only polls are its own, one
+// per series; the last of them happens inside the scan.
+TEST_F(DeadlinePollTest, ScanPlanPollsDeadline) {
+  engine_->set_range_plan(RangePlan::kScan);
+  const Vec query = SelfQuery();
+
+  ExecControl baseline;
+  std::uint64_t total_polls = 0;
+  QueryStats stats;
+  {
+    ScopedExecControl scoped(&baseline);
+    auto matches = engine_->RangeQuery(query, 0.5, {}, &stats);
+    ASSERT_TRUE(matches.ok());
+    ASSERT_FALSE(matches->empty());
+    total_polls = baseline.checks();
+  }
+  ASSERT_EQ(stats.plan.scan, 1u);
+  ASSERT_EQ(stats.index_page_reads, 0u);
+  ASSERT_EQ(total_polls, market_.size());
 
   ExecControl budgeted;
   budgeted.set_check_budget(total_polls - 1);

@@ -32,6 +32,8 @@ std::unique_ptr<SearchEngine> MakeBoxLeafEngine(std::size_t max_entries,
   config.subtrail_len = 1;
   config.tree.max_entries = max_entries;
   config.tree.leaf_max_entries = max_entries;
+  // The identities below are about the index walk, so keep the planner off it.
+  config.range_plan = RangePlan::kIndex;
   auto engine = SearchEngine::Create(config);
   EXPECT_TRUE(engine.ok());
   seq::StockMarketConfig market;
@@ -156,6 +158,50 @@ TEST(ExplainOracleTest, MultiLevelTreeAccountsEveryDescent) {
     EXPECT_EQ(r.levels.back().total, 1u);
     EXPECT_EQ(r.levels.back().visited, 1u);
   }
+}
+
+TEST(ExplainOracleTest, AbandonedWalkAndScanKeepTheIdentities) {
+  auto engine = MakeBoxLeafEngine(4, 64);
+  ASSERT_GE(engine->tree().height(), 3u);
+  const geom::Vec query = ScaleShiftedQuery(*engine, 12);
+  auto want = engine->RangeQuery(query, 2.0);
+  ASSERT_TRUE(want.ok());
+
+  // A wide eps admits most leaves, so the planner abandons the walk at
+  // its leaf frontier and scans.
+  engine->set_range_plan(RangePlan::kAuto);
+  QueryStats stats;
+  auto matches = engine->RangeQuery(query, 2.0, TransformCost{}, &stats);
+  ASSERT_TRUE(matches.ok());
+  ASSERT_EQ(matches->size(), want->size());
+  auto report = engine->ExplainLast();
+  ASSERT_TRUE(report.ok());
+  const obs::ExplainReport& r = *report;
+  ASSERT_EQ(r.plan, "scan");
+  EXPECT_EQ(stats.plan.scan, 1u);
+  EXPECT_EQ(stats.plan.index, 0u);
+  EXPECT_LT(r.plan_scan_cost, r.plan_index_cost);
+  ExpectReportMatchesTelemetry(r, stats);
+
+  // Only the internal levels were tested: every accept is a descent, the
+  // last level's descents lead to leaves that were never loaded.
+  EXPECT_TRUE(explain_accounted(r));
+  EXPECT_EQ(r.levels[0].visited, 0u);
+  EXPECT_EQ(r.accepted_leaf_entries, 0u);
+  EXPECT_EQ(r.descents, r.nodes_visited - 1 + r.plan_leaf_pages);
+
+  // The scan estimated every window, read every data page once, and its
+  // funnel adds up.
+  EXPECT_EQ(r.windows_scanned, engine->num_indexed_windows());
+  EXPECT_EQ(r.plan_scan_cost, engine->num_indexed_windows());
+  EXPECT_EQ(r.data_page_reads, r.seq_scan_pages);
+  EXPECT_EQ(r.candidates, r.postfiltered + r.matches);
+  EXPECT_GE(r.candidates, r.matches);
+  EXPECT_LE(r.candidates, r.windows_scanned);
+
+  const std::string json = obs::RenderExplainJson(r);
+  EXPECT_NE(json.find("\"chosen\":\"scan\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"windows_scanned\":64"), std::string::npos) << json;
 }
 
 TEST(ExplainOracleTest, JsonTotalsMatchTelemetryExactly) {

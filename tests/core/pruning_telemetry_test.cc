@@ -30,6 +30,8 @@ std::unique_ptr<SearchEngine> MakeBoxLeafEngine() {
   config.reduced_dim = 4;
   config.subtrail_len = 1;  // one box per window: every window gets its own test
   config.tree.max_entries = 32;
+  // The telemetry under test is the index walk's, so keep the planner off it.
+  config.range_plan = RangePlan::kIndex;
   auto engine = SearchEngine::Create(config);
   EXPECT_TRUE(engine.ok());
   seq::StockMarketConfig market;

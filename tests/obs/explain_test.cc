@@ -25,6 +25,12 @@ ExplainReport GoldenReport() {
   r.prune_strategy = "spheres";
   r.elapsed_us = 1234;
 
+  r.plan = "index";
+  r.plan_leaf_pages = 4;
+  r.plan_index_cost = 416;
+  r.plan_scan_cost = 64;
+  r.windows_scanned = 0;
+
   r.tree_height = 3;
   r.tree_nodes = 13;
   r.nodes_visited = 6;
@@ -76,6 +82,8 @@ TEST(ExplainRenderTest, JsonGolden) {
       "{\"schema_version\":1,\"report\":\"explain\","
       "\"query\":{\"kind\":\"range\",\"eps\":0.5,\"k\":0,"
       "\"prune\":\"spheres\",\"elapsed_us\":1234},"
+      "\"plan\":{\"chosen\":\"index\",\"leaf_pages\":4,\"index_cost\":416,"
+      "\"scan_cost\":64,\"windows_scanned\":0},"
       "\"totals\":{\"tree_height\":3,\"tree_nodes\":13,\"nodes_visited\":6,"
       "\"entries_tested\":40,\"ep_prunes\":10,\"bs_prunes\":5,"
       "\"exact_prunes\":0,\"descents\":5,\"accepted_leaf_entries\":20,"
@@ -103,6 +111,15 @@ TEST(ExplainRenderTest, TextGolden) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("elapsed: 1234 us"), std::string::npos) << text;
+  // The plan section names the path and both estimates.
+  EXPECT_NE(text.find("plan: index\n"), std::string::npos) << text;
+  char plan_row[96];
+  std::snprintf(plan_row, sizeof(plan_row), "  %-26s %10llu\n",
+                "index estimate (windows)", 416ull);
+  EXPECT_NE(text.find(plan_row), std::string::npos) << text;
+  std::snprintf(plan_row, sizeof(plan_row), "  %-26s %10llu\n",
+                "scan estimate (windows)", 64ull);
+  EXPECT_NE(text.find(plan_row), std::string::npos) << text;
   // Index walk rendered root-first with level tags.
   const std::size_t root_pos = text.find("level 2 (root)");
   const std::size_t leaves_pos = text.find("level 0 (leaves)");
@@ -160,6 +177,8 @@ TEST(ExplainRenderTest, TextHandlesEmptyUniverse) {
       << text;
   EXPECT_EQ(text.find("nan"), std::string::npos) << text;
   EXPECT_NE(text.find("-"), std::string::npos);
+  // k-NN has no range plan, so the plan section is left out.
+  EXPECT_EQ(text.find("plan:"), std::string::npos) << text;
 }
 
 TEST(ExplainRenderTest, FillExplainPhasesCopiesTraceSpans) {

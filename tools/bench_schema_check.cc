@@ -163,6 +163,27 @@ bool CheckExplain(const JsonValue& root, std::string* error) {
     return false;
   }
 
+  // The range planner's record: which path ran and what each was priced.
+  const JsonValue* plan = RequireObject(root, "plan", error);
+  if (plan == nullptr) return false;
+  const JsonValue* chosen = plan->Get("chosen");
+  if (!IsString(chosen) ||
+      (chosen->str != "index" && chosen->str != "scan" &&
+       chosen->str != "mixed" && chosen->str != "none")) {
+    *error = "plan.chosen must be one of index|scan|mixed|none";
+    return false;
+  }
+  if (!RequireNumbers(*plan, "plan",
+                      {"leaf_pages", "index_cost", "scan_cost",
+                       "windows_scanned"},
+                      error)) {
+    return false;
+  }
+  if (chosen->str == "index" && plan->Get("windows_scanned")->number != 0) {
+    *error = "plan: an index-only query cannot have scanned windows";
+    return false;
+  }
+
   const JsonValue* totals = RequireObject(root, "totals", error);
   if (totals == nullptr) return false;
   if (!RequireNumbers(

@@ -510,8 +510,8 @@ int CmdQuery(const Flags& flags) {
     out = tsss::core::SuppressOverlaps(std::move(out),
                                        static_cast<std::uint32_t>(suppress));
   }
-  std::printf("%zu match(es) at eps=%.4g (%llu candidates, %llu pages)\n\n",
-              out.size(), eps,
+  std::printf("%zu match(es) at eps=%.4g (%s, %llu candidates, %llu pages)\n\n",
+              out.size(), eps, stats.plan.scan > 0 ? "scan" : "index",
               static_cast<unsigned long long>(stats.candidates),
               static_cast<unsigned long long>(stats.total_page_reads()));
   PrintMatches(**engine, out, flags.GetSize("limit", 25));

@@ -1,6 +1,7 @@
 #include "tsss/storage/sequence_store.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "tsss/obs/metrics.h"
@@ -19,6 +20,12 @@ void CountQueryDataReads(std::uint64_t pages) {
           "Raw-data pages read for candidate verification");
   data_page_reads->Inc(pages);
 }
+
+/// Largest |x| of `values` and `so_far` (a NaN value is skipped).
+double MaxAbs(std::span<const double> values, double so_far) {
+  for (const double x : values) so_far = std::max(so_far, std::fabs(x));
+  return so_far;
+}
 }  // namespace
 
 SeriesId SequenceStore::AddSeries(std::span<const double> values) {
@@ -27,6 +34,7 @@ SeriesId SequenceStore::AddSeries(std::span<const double> values) {
   offsets_.push_back(values_.size());
   lengths_.push_back(values.size());
   values_.insert(values_.end(), values.begin(), values.end());
+  max_abs_ = MaxAbs(values, max_abs_);
   return id;
 }
 
@@ -41,6 +49,7 @@ Status SequenceStore::AppendToSeries(SeriesId id, std::span<const double> values
   }
   lengths_[id] += values.size();
   values_.insert(values_.end(), values.begin(), values.end());
+  max_abs_ = MaxAbs(values, max_abs_);
   return Status::OK();
 }
 

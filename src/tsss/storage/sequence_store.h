@@ -89,6 +89,10 @@ class SequenceStore {
   /// Total number of stored values across all series.
   std::size_t total_values() const { return values_.size(); }
 
+  /// Largest |value| stored in any series (0 when empty). The index filter
+  /// sizes its rounding slack from it (core::IndexFilterSlack).
+  double max_abs_value() const { return max_abs_; }
+
  private:
   /// Serializes AddSeries/AppendToSeries against each other (see the class
   /// comment for why the vectors below carry no GUARDED_BY).
@@ -96,6 +100,7 @@ class SequenceStore {
   std::vector<double> values_;        ///< densely packed value heap
   std::vector<std::size_t> offsets_;  ///< start of each series in values_
   std::vector<std::size_t> lengths_;  ///< length of each series
+  double max_abs_ = 0.0;              ///< see max_abs_value()
   /// mutable + atomic: counting is observability, not logical mutation, and
   /// must work from the const concurrent read path.
   mutable AtomicPageAccessMetrics metrics_;
